@@ -61,17 +61,20 @@ def _modeled_time(kind, n_tasks, payload_bytes, algorithm, chunk_bytes,
         elif kind == "iallreduce":
             req = c.iallreduce(data, SUM, algorithm=algorithm,
                                chunk_bytes=chunk_bytes)
+        elif kind == "ireduce":
+            req = c.ireduce(data, SUM, root=0, algorithm=algorithm,
+                            chunk_bytes=chunk_bytes)
         else:
             raise ValueError(kind)
         if ctx.rank == 0 and compute_s and compute_when == "overlap":
             rt.task_sleep(compute_s)
         out = req.wait()
         elapsed = rt.now() - t0
-        return elapsed, float(np.sum(out))
+        return elapsed, None if out is None else float(np.sum(out))
 
     res = rt.run(main)
     makespan = max(e for e, _ in res)
-    checksums = {c for _, c in res}
+    checksums = {c for _, c in res if c is not None}
     assert len(checksums) == 1, "ranks disagree on the collective result"
     return makespan, checksums.pop()
 

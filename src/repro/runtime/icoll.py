@@ -26,8 +26,13 @@ measured-trajectory tuner (``Runtime(algorithm="auto")``, see
 
 Reductions chunk only for the elementwise builtin ops (fold order per
 element is then identical to the blocking engines' ascending-rank fold,
-so results stay bit-identical); any other op falls back to the
-unchunked ascending-rank chain.
+so results stay bit-identical); any other op, and any payload too small
+to chunk, folds in one fused cell owned by the last depositor.
+
+Waiting is targeted: a rank parked in ``wait()`` sleeps on its own
+condition and is signalled only when a cell it owns becomes ready, a
+ready cell's owner is outside the engine (a parked rank steals it), its
+own output completes, the episode fails, or the job aborts.
 
 Time is modeled, not measured: when ``Runtime.icoll_link_time_per_mib``
 is nonzero every cell sleeps (virtually, under ``backend="coop"``) in
@@ -117,7 +122,7 @@ class _Episode:
         "seq", "kind", "root", "op", "req_algorithm", "req_chunk",
         "algorithm", "chunk_bytes", "contrib", "arrived", "n_arrived",
         "planned", "cells", "ready", "results", "gates_left", "collected",
-        "failed", "partial",
+        "failed",
     )
 
     def __init__(
@@ -146,8 +151,6 @@ class _Episode:
         self.collected = [False] * size
         #: exception that poisoned the episode (peer crash mid-cell)
         self.failed: Optional[BaseException] = None
-        #: running partial of the unchunked reduction chain
-        self.partial: Any = None
 
 
 class _PlanBuilder:
@@ -202,7 +205,15 @@ class IcollState:
     link time), ``link_time`` (callable returning seconds per MiB per
     cell) and ``selector`` (callable ``(kind, nbytes, size) ->
     (algorithm, chunk_bytes)`` consulted when a call does not pin the
-    algorithm explicitly)."""
+    algorithm explicitly).
+
+    Wake rules: a rank parked in ``wait()`` is signalled only when a
+    cell it owns becomes ready, when a ready cell's owner is outside the
+    engine (one parked rank is woken to steal it -- at plan time, or
+    when the owner leaves test/wait with ready cells still queued), when
+    its own completion gates reach zero, when the episode fails, and on
+    abort.  ``waitany`` parkers wait on the engine lock and are woken by
+    plans, cell completions and failures."""
 
     def __init__(
         self,
@@ -249,6 +260,8 @@ class IcollState:
                 f"group of {len(self.group)} ranks for size-{size} state"
             )
         self._share = share
+        #: the engine lock; ``waitany`` parkers (park_for_progress) wait
+        #: on it, ranks inside ``wait()`` park on their own condition
         self._cond = self._make_cond()
         self._episodes: Dict[int, _Episode] = {}
         #: bumped on every arrival and cell completion: the waitany park
@@ -258,12 +271,87 @@ class IcollState:
         #: cells are left for them; a non-engaged owner's cells may be
         #: stolen so an owner busy computing never stalls the DAG)
         self._engaged = [0] * size
+        #: per-rank wake conditions and signal counters: a signal bumps
+        #: the counter under the engine lock, then notifies; a waiter
+        #: parks only while its counter still reads what it saw under
+        #: the engine lock, so no signal is ever lost
+        self._rank_cond = [self._make_cond() for _ in range(size)]
+        self._signals = [0] * size
+        #: ranks parked in ``wait()`` and not yet signalled, in park
+        #: order (a dict used as an ordered set)
+        self._parked: Dict[int, None] = {}
+        #: ``waitany`` parkers currently waiting on ``self._cond``; with
+        #: none, cell completions skip the notify and a rank leaving the
+        #: engine skips its stranded-cell scan
+        self._progress_parkers = 0
         subscribe_abort(abort_flag, self._wake_all)
 
-    # ------------------------------------------------------------------ utils
-    def _wake_all(self) -> None:
-        with self._cond:
+    # ------------------------------------------------------------------ wakes
+    def _signal(self, rank: int) -> None:
+        """Wake ``rank`` if it is parked in ``wait()`` and not yet
+        signalled.  Under ``self._cond``."""
+        if rank not in self._parked:
+            return
+        del self._parked[rank]
+        self._signals[rank] += 1
+        cond = self._rank_cond[rank]
+        with cond:
+            cond.notify()
+
+    def _kick_progress(self) -> None:
+        """Wake the ``waitany`` parkers.  Under ``self._cond``."""
+        if self._progress_parkers:
             self._cond.notify_all()
+
+    def _wake_all(self) -> None:
+        """Release every parked waiter (abort, failure, injected
+        spurious wakeups)."""
+        with self._cond:
+            for r in list(self._parked):
+                self._signal(r)
+            self._cond.notify_all()
+
+    def _wake_stealer(self) -> None:
+        """Wake the longest-parked rank to steal a ready cell whose
+        owner is outside the engine.  Under ``self._cond``."""
+        if self._parked:
+            self._signal(next(iter(self._parked)))
+
+    def _announce_ready(self, ep: _Episode, idx: int) -> None:
+        """A cell became ready: signal its owner if parked, or a
+        stealer if the owner is outside the engine (an engaged owner
+        that is running rescans before it parks).  Under
+        ``self._cond``."""
+        cell = ep.cells[idx]
+        if cell.owner in self._parked:
+            self._signal(cell.owner)
+        elif self._engaged[cell.owner] == 0:
+            self._wake_stealer()
+
+    def _enter(self, rank: int) -> None:
+        with self._cond:
+            self._engaged[rank] += 1
+
+    def _leave(self, rank: int) -> None:
+        """Leave test/wait.  Cells that became ready for ``rank`` while
+        it was inside but busy were announced to no one; hand them to a
+        parked rank now."""
+        with self._cond:
+            self._engaged[rank] -= 1
+            if self._engaged[rank] or not (
+                self._parked or self._progress_parkers
+            ):
+                return
+            for ep in self._episodes.values():
+                if not ep.planned or ep.failed is not None:
+                    continue
+                for idx in ep.ready:
+                    if ep.cells[idx].owner == rank:
+                        self._wake_stealer()
+                        self._kick_progress()
+                        return
+
+    # ------------------------------------------------------------------ utils
 
     def _do_clone(self, obj: Any) -> Any:
         new = self._clone(obj)
@@ -301,7 +389,8 @@ class IcollState:
         chunk_bytes: Optional[int] = None,
     ) -> "CollectiveRequest":
         """Deposit rank's contribution to collective ``seq``; returns
-        the request handle.  The last depositor compiles the plan."""
+        the request handle.  The last depositor compiles the plan;
+        earlier arrivals wake no one."""
         if kind not in _KINDS:
             raise MPIError(f"unknown nonblocking collective {kind!r}")
         if not 0 <= root < self.size:
@@ -345,13 +434,18 @@ class IcollState:
             self._progress_count += 1
             if ep.n_arrived == self.size:
                 try:
-                    self._build_plan(ep)
+                    self._build_plan(ep, rank)
                     ep.planned = True
                 except BaseException as exc:
                     ep.failed = exc
-                    self._cond.notify_all()
+                    self._wake_all()
                     raise
-            self._cond.notify_all()
+                for idx in ep.ready:
+                    self._announce_ready(ep, idx)
+                for r in range(self.size):
+                    if ep.gates_left[r] == 0:
+                        self._signal(r)
+                self._kick_progress()
         return CollectiveRequest(self, ep, rank)
 
     def _validate_payload(self, kind: str, payload: Any) -> None:
@@ -391,7 +485,7 @@ class IcollState:
         ep.algorithm = algo
         ep.chunk_bytes = int(cb) if algo == "pipelined" else 0
 
-    def _build_plan(self, ep: _Episode) -> None:
+    def _build_plan(self, ep: _Episode, planner: int) -> None:
         self._resolve_algorithm(ep)
         b = _PlanBuilder(ep, self._link_s_per_byte())
         if ep.kind == "ibarrier":
@@ -399,7 +493,9 @@ class IcollState:
         elif ep.kind == "ibcast":
             self._plan_bcast(ep, b)
         elif ep.kind in ("ireduce", "iallreduce"):
-            self._plan_reduce(ep, b, deliver_all=ep.kind == "iallreduce")
+            self._plan_reduce(
+                ep, b, planner, deliver_all=ep.kind == "iallreduce"
+            )
         elif ep.kind == "igather":
             self._plan_gather(ep, b, all_ranks=False)
         elif ep.kind == "iallgather":
@@ -509,7 +605,8 @@ class IcollState:
 
     # -------------------------------------------------------------- reduce
     def _plan_reduce(
-        self, ep: _Episode, b: _PlanBuilder, *, deliver_all: bool
+        self, ep: _Episode, b: _PlanBuilder, planner: int, *,
+        deliver_all: bool,
     ) -> None:
         op = ep.op
         # the rank whose result slot owns the fold output outright; the
@@ -572,100 +669,100 @@ class IcollState:
             ep.results[owner] = out
             if not deliver_all:
                 return
-            self._plan_reduce_delivery(
-                ep, b, owner, out, deps_per_chunk=(slices, last_fold),
-            )
+            self._plan_reduce_delivery(ep, b, owner, out, slices, last_fold)
             return
-        # generic ascending-rank chain, cloning at every fold boundary
-        # (exactly the blocking engines' discipline and order)
-        nbytes = payload_nbytes(c0)
-        prev = None
-        for r in range(self.size):
-            last = r == self.size - 1
-
-            def fn(r=r, last=last):
-                if r == 0:
-                    ep.partial = self._do_clone(ep.contrib[0])
-                else:
-                    ep.partial = op(ep.partial, self._do_clone(ep.contrib[r]))
-                if last:
-                    ep.results[owner] = ep.partial
-                    ep.partial = None
-
-            prev = b.add(
-                fn, owner=r, deps=() if prev is None else (prev,),
-                port=("rx", r),
-                gates=(r, owner) if last else (r,), nbytes=nbytes,
-            )
-        if deliver_all:
-            self._plan_reduce_delivery(
-                ep, b, owner, None, deps_per_chunk=None, chain_tail=prev,
-            )
+        self._plan_fused_reduce(ep, b, planner, owner, deliver_all=deliver_all)
 
     def _plan_reduce_delivery(
         self,
         ep: _Episode,
         b: _PlanBuilder,
         owner: int,
-        out: Optional[np.ndarray],
-        *,
-        deps_per_chunk: Optional[Tuple[List[slice], List[int]]],
-        chain_tail: Optional[int] = None,
+        out: np.ndarray,
+        slices: List[slice],
+        last_fold: List[int],
     ) -> None:
-        """Fan the folded result out to every rank but ``owner``."""
+        """Fan the chunk-folded result out to every rank but ``owner``."""
         for d in range(self.size):
             if d == owner:
                 continue
             if self._may_share(owner, d):
-                if deps_per_chunk is not None:
-                    slices, last_fold = deps_per_chunk
 
-                    def fn_ref(d=d):
-                        self._deliver_ref(ep, ep.results[owner], d)
+                def fn_ref(d=d):
+                    self._deliver_ref(ep, ep.results[owner], d)
 
-                    # gate the owner too: its completion would null the
-                    # results slot this cell reads (see _take)
-                    b.add(
-                        fn_ref, owner=d, deps=tuple(last_fold),
-                        gates=(d, owner), nbytes=0,
-                    )
-                else:
-
-                    def fn_ref2(d=d):
-                        self._deliver_ref(ep, ep.results[owner], d)
-
-                    b.add(
-                        fn_ref2, owner=d,
-                        deps=() if chain_tail is None else (chain_tail,),
-                        gates=(d, owner), nbytes=0,
-                    )
-                continue
-            if deps_per_chunk is not None:
-                slices, last_fold = deps_per_chunk
-                ep.results[d] = np.empty_like(out)
-                for c, sl in enumerate(slices):
-
-                    def fn(d=d, sl=sl, c=c):
-                        ep.results[d].reshape(-1)[sl] = out.reshape(-1)[sl]
-                        if c == 0:
-                            self.metrics.note_clone()
-
-                    nb = (sl.stop - sl.start) * out.itemsize
-                    b.add(
-                        fn, owner=d, deps=(last_fold[c],), port=("rx", d),
-                        gates=(d, owner), nbytes=nb,
-                    )
-            else:
-
-                def fn2(d=d):
-                    ep.results[d] = self._do_clone(ep.results[owner])
-
+                # gate the owner too: its completion would null the
+                # results slot this cell reads (see _take)
                 b.add(
-                    fn2, owner=d,
-                    deps=() if chain_tail is None else (chain_tail,),
-                    port=("rx", d), gates=(d, owner),
-                    nbytes=payload_nbytes(ep.contrib[0]),
+                    fn_ref, owner=d, deps=tuple(last_fold),
+                    gates=(d, owner), nbytes=0,
                 )
+                continue
+            ep.results[d] = np.empty_like(out)
+            for c, sl in enumerate(slices):
+
+                def fn(d=d, sl=sl, c=c):
+                    ep.results[d].reshape(-1)[sl] = out.reshape(-1)[sl]
+                    if c == 0:
+                        self.metrics.note_clone()
+
+                nb = (sl.stop - sl.start) * out.itemsize
+                b.add(
+                    fn, owner=d, deps=(last_fold[c],), port=("rx", d),
+                    gates=(d, owner), nbytes=nb,
+                )
+
+    def _plan_fused_reduce(
+        self, ep: _Episode, b: _PlanBuilder, planner: int, owner: int, *,
+        deliver_all: bool,
+    ) -> None:
+        """One cell folds every contribution: clone ``contrib[0]``, then
+        fold a clone of each ``contrib[r]`` in ascending rank order --
+        exactly the blocking engines' discipline and order, so results
+        stay bit-identical -- and hand the result by reference to the
+        ranks sharing the owner's address space.  It belongs to the
+        last depositor (the planner, which is running already), gates
+        every rank (it reads every buffer) and occupies the link for
+        the n fold steps it replaces.
+
+        Copy deliveries stay cells of their own, run by their
+        destinations.  They clone a private snapshot of the result, not
+        the owner's object, so the owner (and the ranks holding it by
+        reference) complete as soon as the fold lands instead of
+        waiting for every copy to read their buffer."""
+        op = ep.op
+        nbytes = payload_nbytes(ep.contrib[0])
+        refs: List[int] = []
+        copies: List[int] = []
+        if deliver_all:
+            for d in range(self.size):
+                if d != owner:
+                    (refs if self._may_share(owner, d) else copies).append(d)
+        snapshot: List[Any] = [None]
+
+        def fold():
+            acc = self._do_clone(ep.contrib[0])
+            for r in range(1, self.size):
+                acc = op(acc, self._do_clone(ep.contrib[r]))
+            ep.results[owner] = acc
+            for d in refs:
+                self._deliver_ref(ep, acc, d)
+            if copies:
+                snapshot[0] = self._do_clone(acc)
+
+        folded = b.add(
+            fold, owner=planner, port=("rx", owner),
+            gates=range(self.size), nbytes=nbytes * self.size,
+        )
+        for d in copies:
+
+            def copy(d=d):
+                ep.results[d] = self._do_clone(snapshot[0])
+
+            b.add(
+                copy, owner=d, deps=(folded,), port=("rx", d),
+                gates=(d,), nbytes=nbytes,
+            )
 
     # ---------------------------------------------------- gather-family
     def _plan_gather(
@@ -772,21 +869,24 @@ class IcollState:
                 if ep.failed is None:
                     ep.failed = exc
                 self._progress_count += 1
-                self._cond.notify_all()
+                self._wake_all()
             raise
         with self._cond:
             cell.state = _DONE
             self.metrics.note_icoll_cell(stolen=cell.owner != rank)
             for r in cell.gates:
                 ep.gates_left[r] -= 1
+                if ep.gates_left[r] == 0:
+                    self._signal(r)
             for d in cell.dependents:
                 dep = ep.cells[d]
                 dep.ndeps -= 1
                 if dep.ndeps == 0:
                     dep.state = _READY
                     ep.ready.append(d)
+                    self._announce_ready(ep, d)
             self._progress_count += 1
-            self._cond.notify_all()
+            self._kick_progress()
 
     def _progress(self, rank: int, ep: _Episode) -> bool:
         """Drain every currently-claimable cell; True if any ran."""
@@ -822,8 +922,7 @@ class IcollState:
     ) -> Optional[Tuple[Any, Status]]:
         """One nonblocking progress burst (the ``Request.test`` hook):
         runs ready cells, then reports completion."""
-        with self._cond:
-            self._engaged[rank] += 1
+        self._enter(rank)
         try:
             self._progress(rank, ep)
             with self._cond:
@@ -833,18 +932,20 @@ class IcollState:
                     return self._take(ep, rank), Status()
                 return None
         finally:
-            with self._cond:
-                self._engaged[rank] -= 1
+            self._leave(rank)
 
     def wait_complete(self, rank: int, ep: _Episode) -> Tuple[Any, Status]:
-        """Blocking completion: alternate progress bursts with
-        event-driven parks; the deadline extends on any engine progress
-        (arrivals or cells anywhere), so only a genuinely stalled
+        """Blocking completion: alternate progress bursts with parks on
+        the rank's own condition (see the wake rules on the class).
+        Arrivals wake no one, so the park is capped at ``_ABORT_TICK``
+        and the deadline extends on any engine progress (arrivals or
+        cells anywhere) seen after it: only a genuinely stalled
         collective raises DeadlockError."""
         with self._cond:
             self._engaged[rank] += 1
             deadline = self._clock() + self._timeout
             seen = self._progress_count
+        cond = self._rank_cond[rank]
         try:
             while True:
                 ran = self._progress(rank, ep)
@@ -868,13 +969,18 @@ class IcollState:
                             f"stalled with {ep.n_arrived}/{self.size} "
                             f"arrived -- collective mismatch?"
                         )
-                    if self._scan_claim(rank, ep, take=False) is None:
-                        self._cond.wait(
-                            timeout=min(deadline - now, _ABORT_TICK)
-                        )
+                    if self._scan_claim(rank, ep, take=False) is not None:
+                        continue
+                    token = self._signals[rank]
+                    self._parked[rank] = None
+                timeout = min(deadline - now, _ABORT_TICK)
+                with cond:
+                    if self._signals[rank] == token:
+                        cond.wait(timeout=timeout)
+                with self._cond:
+                    self._parked.pop(rank, None)
         finally:
-            with self._cond:
-                self._engaged[rank] -= 1
+            self._leave(rank)
 
     # ----------------------------------------------------------- waitany glue
     def progress_token(self) -> int:
@@ -890,7 +996,11 @@ class IcollState:
                 raise AbortError("job aborted")
             if self._progress_count != token:
                 return
-            self._cond.wait(timeout=timeout)
+            self._progress_parkers += 1
+            try:
+                self._cond.wait(timeout=timeout)
+            finally:
+                self._progress_parkers -= 1
 
 
 class CollectiveRequest(Request):
